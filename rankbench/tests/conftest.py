@@ -1,0 +1,10 @@
+"""Put the checkout's ``src`` and root on the path for the benchmark's
+own tests (run with ``python -m pytest rankbench/tests``)."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (str(ROOT / "src"), str(ROOT)):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
