@@ -9,19 +9,85 @@ rewards productivity, ``max`` rewards one-hit wonders).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, DatasetError
+from repro.data.columns import ArticleColumns, lookup
 from repro.data.schema import ScholarlyDataset
+from repro.graph.toposort import ragged_offsets
 
 _MODES = ("mean", "sum", "max")
 
 
+def author_positions(dataset: ScholarlyDataset, columns: ArticleColumns
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Ascending author ids of ``dataset``, and the position among them
+    of every ``columns.author_ids`` entry.
+
+    Raises :class:`DatasetError` when an article lists an author the
+    dataset does not register.
+    """
+    author_ids = np.sort(np.fromiter(dataset.authors, dtype=np.int64,
+                                     count=len(dataset.authors)))
+    positions = lookup(author_ids, columns.author_ids)
+    unknown = np.flatnonzero(positions < 0)
+    if len(unknown):
+        entry = int(unknown[0])
+        row = int(np.searchsorted(columns.author_indptr, entry,
+                                  side="right")) - 1
+        raise DatasetError(
+            f"article {int(columns.ids[row])} references unknown author "
+            f"{int(columns.author_ids[entry])}")
+    return author_ids, positions
+
+
+def aggregate_authors(columns: ArticleColumns, positions: np.ndarray,
+                      num_authors: int, importance: np.ndarray,
+                      mode: str = "mean") -> np.ndarray:
+    """Per-author aggregate of article ``importance`` (row-aligned with
+    ``columns``); ``positions`` comes from :func:`author_positions`."""
+    if mode not in _MODES:
+        raise ConfigError(f"unknown mode {mode!r}; choose from {_MODES}")
+    weights = np.asarray(importance, dtype=np.float64)[
+        columns.author_rows()]
+    if mode == "max":
+        totals = np.zeros(num_authors, dtype=np.float64)
+        np.maximum.at(totals, positions, weights)
+        return totals
+    totals = np.bincount(positions, weights=weights,
+                         minlength=num_authors)
+    if mode == "mean":
+        counts = np.bincount(positions, minlength=num_authors)
+        totals = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
+    return totals
+
+
+def team_mean(team_sizes: np.ndarray, member_scores: np.ndarray
+              ) -> np.ndarray:
+    """Mean of each article's consecutive run of ``member_scores``.
+
+    ``team_sizes[i]`` scores belong to article ``i``. Articles without
+    authors get the mean over the others, so the blend stays unbiased
+    for them.
+    """
+    n = len(team_sizes)
+    rows = np.repeat(np.arange(n, dtype=np.int64), team_sizes)
+    sums = np.bincount(rows, weights=member_scores, minlength=n)
+    values = np.where(team_sizes > 0, sums / np.maximum(team_sizes, 1),
+                      0.0)
+    missing = team_sizes == 0
+    if np.any(missing) and np.any(~missing):
+        values[missing] = float(values[~missing].mean())
+    return values
+
+
 def author_importance(dataset: ScholarlyDataset,
                       article_importance: Mapping[int, float],
-                      mode: str = "mean") -> Dict[int, float]:
+                      mode: str = "mean",
+                      columns: Optional[ArticleColumns] = None
+                      ) -> Dict[int, float]:
     """Aggregate article importance per author.
 
     Args:
@@ -29,73 +95,49 @@ def author_importance(dataset: ScholarlyDataset,
         article_importance: article id -> importance (every article in the
             dataset must be present).
         mode: ``mean`` (default), ``sum`` or ``max``.
+        columns: optional pre-built :class:`ArticleColumns` of
+            ``dataset``.
 
     Returns:
         author id -> importance; authors with no articles score 0.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {_MODES}")
-    author_ids = sorted(dataset.authors)
-    position_of = {author_id: i for i, author_id in enumerate(author_ids)}
-    num_authors = len(author_ids)
-
-    # Flatten the authorship relation once, then aggregate vectorized.
-    author_positions = []
-    values = []
-    for article in dataset.articles.values():
-        try:
-            value = float(article_importance[article.id])
-        except KeyError:
-            raise DatasetError(
-                f"article {article.id} missing from importance map"
-            ) from None
-        for author_id in article.author_ids:
-            position = position_of.get(author_id)
-            if position is None:
-                raise DatasetError(
-                    f"article {article.id} references unknown author "
-                    f"{author_id}")
-            author_positions.append(position)
-            values.append(value)
-
-    positions = np.asarray(author_positions, dtype=np.int64)
-    weights = np.asarray(values, dtype=np.float64)
-    if mode == "max":
-        totals = np.zeros(num_authors, dtype=np.float64)
-        np.maximum.at(totals, positions, weights)
-    else:
-        totals = np.bincount(positions, weights=weights,
-                             minlength=num_authors)
-        if mode == "mean":
-            counts = np.bincount(positions, minlength=num_authors)
-            totals = np.where(counts > 0,
-                              totals / np.maximum(counts, 1), 0.0)
-    return {author_id: float(totals[i])
-            for i, author_id in enumerate(author_ids)}
+    if columns is None:
+        columns = ArticleColumns.of(dataset)
+    try:
+        importance = np.fromiter(
+            (article_importance[article_id]
+             for article_id in columns.ids.tolist()),
+            dtype=np.float64, count=len(columns))
+    except KeyError as exc:
+        raise DatasetError(
+            f"article {exc.args[0]} missing from importance map"
+        ) from None
+    author_ids, positions = author_positions(dataset, columns)
+    totals = aggregate_authors(columns, positions, len(author_ids),
+                               importance, mode)
+    return dict(zip(author_ids.tolist(), totals.tolist()))
 
 
 def article_author_feature(dataset: ScholarlyDataset,
                            author_scores: Mapping[int, float],
-                           node_ids: np.ndarray) -> np.ndarray:
+                           node_ids: np.ndarray,
+                           columns: Optional[ArticleColumns] = None
+                           ) -> np.ndarray:
     """Mean author importance per article, aligned with ``node_ids``.
 
     Articles without authors get the dataset-wide mean feature so the
     blend stays unbiased for them.
     """
-    n = len(node_ids)
-    node_positions = []
-    team_scores = []
-    for position, article_id in enumerate(node_ids):
-        for author_id in dataset.articles[int(article_id)].author_ids:
-            node_positions.append(position)
-            team_scores.append(float(author_scores[author_id]))
-    positions = np.asarray(node_positions, dtype=np.int64)
-    sums = np.bincount(positions,
-                       weights=np.asarray(team_scores, dtype=np.float64),
-                       minlength=n)
-    counts = np.bincount(positions, minlength=n)
-    values = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    missing = counts == 0
-    if np.any(missing) and np.any(~missing):
-        values[missing] = float(values[~missing].mean())
-    return values
+    if columns is None:
+        columns = ArticleColumns.of(dataset)
+    rows = columns.rows_of(node_ids)
+    starts = columns.author_indptr[rows]
+    sizes = columns.author_indptr[rows + 1] - starts
+    team = columns.author_ids[np.repeat(starts, sizes)
+                              + ragged_offsets(sizes)]
+    member_scores = np.fromiter(
+        (author_scores[author_id] for author_id in team.tolist()),
+        dtype=np.float64, count=len(team))
+    return team_mean(sizes, member_scores)

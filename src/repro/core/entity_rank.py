@@ -15,8 +15,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, DatasetError
+from repro.data.columns import ArticleColumns
 from repro.data.schema import ScholarlyDataset
-from repro.core.author_score import author_importance
+from repro.core.author_score import author_importance, author_positions
 from repro.core.importance import combine_importance
 from repro.core.model import ArticleRanker, RankerConfig
 from repro.core.time_weight import exponential_decay
@@ -98,15 +99,14 @@ class EntityRanker:
         if article_scores is None:
             article_scores = ArticleRanker(self.config).rank(
                 dataset).by_id()
+        columns = ArticleColumns.of(dataset)
         author_scores = author_importance(dataset, article_scores,
-                                          mode=self.config.author_mode)
-        entity_ids = np.asarray(sorted(author_scores), dtype=np.int64)
-        scores = np.asarray([author_scores[int(a)] for a in entity_ids])
-        productivity = np.zeros(len(entity_ids), dtype=np.float64)
-        position_of = {int(a): i for i, a in enumerate(entity_ids)}
-        for article in dataset.articles.values():
-            for author_id in article.author_ids:
-                productivity[position_of[author_id]] += 1.0
+                                          mode=self.config.author_mode,
+                                          columns=columns)
+        entity_ids, positions = author_positions(dataset, columns)
+        scores = np.asarray([author_scores[a] for a in entity_ids.tolist()])
+        productivity = np.bincount(positions, minlength=len(entity_ids)
+                                   ).astype(np.float64)
         return EntityRanking(
             kind="author", entity_ids=entity_ids, scores=scores,
             components={"productivity": productivity})

@@ -23,8 +23,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, DatasetError
+from repro.data.columns import ArticleColumns, lookup
 from repro.data.schema import ScholarlyDataset
-from repro.core.author_score import article_author_feature, author_importance
+from repro.core.author_score import (aggregate_authors, author_positions,
+                                     team_mean)
 from repro.core.importance import combine_importance, normalize_scores
 from repro.core.popularity import popularity_scores
 from repro.core.time_weight import exponential_decay
@@ -179,24 +181,18 @@ class ArticleRanker:
             stage_start = clock()
             with (obs.span("rank.build_graph") if obs is not None
                   else nullcontext()):
+                columns = ArticleColumns.of(dataset)
                 graph = dataset.citation_csr()
-                years = dataset.article_years(graph)
             _stage_observed(obs, timings, "build_graph",
                             clock() - stage_start)
-            _, max_year = dataset.year_range()
-            observation = config.observation_year \
-                if config.observation_year is not None else max_year
-            if observation < max_year:
-                raise ConfigError(
-                    f"observation_year {observation} precedes newest "
-                    f"article ({max_year}); slice the dataset instead")
+            observation = self._observation(columns)
 
             diagnostics: Dict[str, object] = {"timings": timings}
 
             stage_start = clock()
             prestige_kernel = exponential_decay(config.prestige_decay)
             twpr = time_weighted_pagerank(
-                graph, years, decay=prestige_kernel,
+                graph, columns.years, decay=prestige_kernel,
                 damping=config.damping, tol=config.tol,
                 max_iter=config.max_iter, method=config.solver,
                 telemetry=telemetry, obs=obs)
@@ -206,14 +202,15 @@ class ArticleRanker:
             diagnostics["twpr_method"] = twpr.method
             diagnostics["twpr_converged"] = twpr.converged
 
-            return self._assemble(dataset, graph, years, observation,
+            return self._assemble(dataset, graph, columns, observation,
                                   twpr.scores, diagnostics, timings,
                                   obs=obs)
 
     def rank_with_prestige(self, dataset: ScholarlyDataset,
                            prestige,
                            graph=None,
-                           obs: Optional["Observability"] = None
+                           obs: Optional["Observability"] = None,
+                           columns: Optional[ArticleColumns] = None
                            ) -> RankingResult:
         """Assemble the full model around *externally supplied* prestige.
 
@@ -226,25 +223,25 @@ class ArticleRanker:
         method performs only the linear-time stages — popularity, venue
         and author importance, and the final blend. ``graph`` may supply
         a pre-built citation CSR (canonical ascending-id node order) to
-        skip the rebuild — the live pipeline already maintains one.
+        skip the rebuild, and ``columns`` the dataset's pre-built
+        :class:`~repro.data.columns.ArticleColumns` — the live pipeline
+        maintains both.
         """
         if dataset.num_articles == 0:
             raise DatasetError("cannot rank an empty dataset")
-        config = self.config
         timings: Dict[str, float] = {}
         clock = time.perf_counter
         stage_start = clock()
         if graph is None:
             graph = dataset.citation_csr()
-        years = dataset.article_years(graph)
-        timings["build_graph"] = clock() - stage_start
-        _, max_year = dataset.year_range()
-        observation = config.observation_year \
-            if config.observation_year is not None else max_year
-        if observation < max_year:
+        if columns is None:
+            columns = ArticleColumns.of(dataset)
+        elif not np.array_equal(columns.ids, graph.node_ids):
             raise ConfigError(
-                f"observation_year {observation} precedes newest article "
-                f"({max_year}); slice the dataset instead")
+                "columns must align with the graph's nodes "
+                f"({len(columns)} rows vs {graph.num_nodes} nodes)")
+        timings["build_graph"] = clock() - stage_start
+        observation = self._observation(columns)
         if isinstance(prestige, np.ndarray):
             if prestige.shape != (graph.num_nodes,):
                 raise ConfigError(
@@ -262,11 +259,23 @@ class ArticleRanker:
                 ) from None
         diagnostics: Dict[str, object] = {"timings": timings,
                                           "prestige_source": "external"}
-        return self._assemble(dataset, graph, years, observation,
+        return self._assemble(dataset, graph, columns, observation,
                               prestige_scores, diagnostics, timings,
                               obs=obs)
 
-    def _assemble(self, dataset: ScholarlyDataset, graph, years,
+    def _observation(self, columns: ArticleColumns) -> int:
+        """The decay horizon: the configured year, else the newest."""
+        max_year = int(columns.years.max())
+        observation = self.config.observation_year \
+            if self.config.observation_year is not None else max_year
+        if observation < max_year:
+            raise ConfigError(
+                f"observation_year {observation} precedes newest article "
+                f"({max_year}); slice the dataset instead")
+        return observation
+
+    def _assemble(self, dataset: ScholarlyDataset, graph,
+                  columns: ArticleColumns,
                   observation: int, prestige_scores: np.ndarray,
                   diagnostics: Dict[str, object],
                   timings: Dict[str, float],
@@ -282,7 +291,8 @@ class ArticleRanker:
         with _span("rank.article_popularity"):
             popularity_kernel = exponential_decay(config.popularity_decay)
             article_popularity = popularity_scores(
-                graph, years, observation, decay=popularity_kernel,
+                graph, columns.years, observation,
+                decay=popularity_kernel,
                 self_boost=config.popularity_self_boost)
 
             article_importance = combine_importance(
@@ -294,12 +304,12 @@ class ArticleRanker:
         stage_start = clock()
         with _span("rank.venue"):
             venue_feature = self._venue_feature(
-                dataset, graph, observation, diagnostics)
+                dataset, graph, columns, observation, diagnostics)
         _stage_observed(obs, timings, "venue", clock() - stage_start)
         stage_start = clock()
         with _span("rank.author"):
             author_feature = self._author_feature(
-                dataset, graph, article_importance)
+                dataset, columns, article_importance)
         _stage_observed(obs, timings, "author", clock() - stage_start)
 
         stage_start = clock()
@@ -331,9 +341,13 @@ class ArticleRanker:
     # components
 
     def _venue_feature(self, dataset: ScholarlyDataset, graph,
-                       observation: int,
+                       columns: ArticleColumns, observation: int,
                        diagnostics: Dict[str, object]) -> np.ndarray:
-        """Per-article venue importance (dataset mean for venue-less)."""
+        """Per-article venue importance.
+
+        Articles without a venue, or whose venue is not registered in
+        the dataset, get the mean over the others.
+        """
         config = self.config
         if dataset.num_venues == 0 or config.weight_venue == 0:
             diagnostics["venue_iterations"] = 0
@@ -341,7 +355,7 @@ class ArticleRanker:
 
         kernel = exponential_decay(config.prestige_decay)
         venue_graph = build_venue_graph(dataset, decay=kernel,
-                                        graph=graph)
+                                        graph=graph, columns=columns)
         venue_prestige_result = pagerank(
             venue_graph.graph, damping=config.damping, tol=config.tol,
             max_iter=config.max_iter)
@@ -350,34 +364,29 @@ class ArticleRanker:
         popularity_kernel = exponential_decay(config.popularity_decay)
         venue_pop = venue_popularity(dataset, observation,
                                      popularity_kernel, venue_graph,
-                                     graph=graph)
+                                     graph=graph, columns=columns)
         venue_importance = combine_importance(
             venue_prestige_result.scores, venue_pop, theta=config.theta,
             normalization=config.normalization)
 
+        venue_index = lookup(venue_graph.graph.node_ids, columns.venues)
+        present = venue_index >= 0
         feature = np.zeros(graph.num_nodes)
-        missing = []
-        for position, article_id in enumerate(graph.node_ids):
-            venue_id = dataset.articles[int(article_id)].venue_id
-            if venue_id is None:
-                missing.append(position)
-            else:
-                feature[position] = venue_importance[
-                    venue_graph.venue_index(venue_id)]
-        if missing:
-            present = np.delete(feature, missing)
-            feature[missing] = float(present.mean()) if len(present) else 0.0
+        feature[present] = venue_importance[venue_index[present]]
+        if not np.all(present):
+            known = feature[present]
+            feature[~present] = float(known.mean()) if len(known) else 0.0
         return feature
 
-    def _author_feature(self, dataset: ScholarlyDataset, graph,
+    def _author_feature(self, dataset: ScholarlyDataset,
+                        columns: ArticleColumns,
                         article_importance: np.ndarray) -> np.ndarray:
         """Per-article mean author importance."""
         if dataset.num_authors == 0 or self.config.weight_author == 0:
-            return np.zeros(graph.num_nodes)
-        importance_by_id = {
-            int(node): float(value)
-            for node, value in zip(graph.node_ids, article_importance)}
-        author_scores = author_importance(
-            dataset, importance_by_id, mode=self.config.author_mode)
-        return article_author_feature(dataset, author_scores,
-                                      graph.node_ids)
+            return np.zeros(len(columns))
+        author_ids, positions = author_positions(dataset, columns)
+        author_scores = aggregate_authors(
+            columns, positions, len(author_ids), article_importance,
+            mode=self.config.author_mode)
+        return team_mean(np.diff(columns.author_indptr),
+                         author_scores[positions])

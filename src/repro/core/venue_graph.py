@@ -20,8 +20,13 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.graph.csr import CSRGraph
+from repro.data.columns import ArticleColumns, lookup
 from repro.data.schema import ScholarlyDataset
 from repro.core.time_weight import TimeDecay
+
+#: Venue-pair table size below which pairs aggregate by direct
+#: ``bincount`` (one slot per pair) instead of sorting the edges.
+_DENSE_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,25 +48,32 @@ class VenueGraph:
 
 
 def _article_arrays(dataset: ScholarlyDataset,
-                    graph: Optional[CSRGraph]
+                    graph: Optional[CSRGraph],
+                    columns: Optional[ArticleColumns]
                     ) -> Tuple[CSRGraph, np.ndarray, np.ndarray,
                                np.ndarray]:
-    """Citation CSR plus per-node years and venue *indices* (-1 = none)."""
+    """Citation CSR plus per-node years and venue *indices* (-1 = none).
+
+    Venue indices point into the ascending registered venue ids; an
+    article whose venue is not registered in ``dataset.venues`` counts
+    as venue-less.
+    """
     if graph is None:
         graph = dataset.citation_csr()
-    years = dataset.article_years(graph)
-    venue_ids = sorted(dataset.venues)
-    index_of_venue = {venue: i for i, venue in enumerate(venue_ids)}
-    venue_of = np.asarray(
-        [index_of_venue.get(dataset.articles[int(node)].venue_id, -1)
-         for node in graph.node_ids], dtype=np.int64)
-    return graph, years, venue_of, np.asarray(venue_ids, dtype=np.int64)
+    if columns is None:
+        columns = ArticleColumns.of(dataset)
+    venue_ids = np.sort(np.fromiter(dataset.venues, dtype=np.int64,
+                                    count=len(dataset.venues)))
+    return graph, columns.years, lookup(venue_ids, columns.venues), \
+        venue_ids
 
 
 def build_venue_graph(dataset: ScholarlyDataset,
                       decay: Optional[TimeDecay] = None,
                       include_self_loops: bool = False,
-                      graph: Optional[CSRGraph] = None) -> VenueGraph:
+                      graph: Optional[CSRGraph] = None,
+                      columns: Optional[ArticleColumns] = None
+                      ) -> VenueGraph:
     """Aggregate the dataset's citations into a venue graph.
 
     Args:
@@ -73,11 +85,14 @@ def build_venue_graph(dataset: ScholarlyDataset,
             internal citations say nothing about cross-venue prestige).
         graph: optional pre-built citation CSR of ``dataset`` (skips the
             rebuild; node order must be the canonical ascending-id one).
+        columns: optional pre-built :class:`ArticleColumns` of
+            ``dataset`` (skips the rebuild).
     """
     if dataset.num_venues == 0:
         raise DatasetError("dataset has no venues")
 
-    graph, years, venue_of, venue_ids = _article_arrays(dataset, graph)
+    graph, years, venue_of, venue_ids = _article_arrays(dataset, graph,
+                                                        columns)
     num_venues = len(venue_ids)
     src_idx, dst_idx, _ = graph.edge_array()
     src_venue = venue_of[src_idx]
@@ -97,37 +112,46 @@ def build_venue_graph(dataset: ScholarlyDataset,
         edge_weight = np.ones(len(src_venue), dtype=np.float64)
 
     key = src_venue * num_venues + dst_venue
-    unique_keys, inverse = np.unique(key, return_inverse=True)
-    weights = np.bincount(inverse, weights=edge_weight,
-                          minlength=len(unique_keys))
-    counts = np.bincount(inverse, minlength=len(unique_keys)).astype(
-        np.float64)
+    if num_venues * num_venues <= max(len(key), _DENSE_PAIRS):
+        # One slot per venue pair: no sort over the edges.
+        slots = num_venues * num_venues
+        weights = np.bincount(key, weights=edge_weight, minlength=slots)
+        counts = np.bincount(key, minlength=slots)
+        pair_keys = np.flatnonzero(counts)
+        weights = weights[pair_keys]
+        counts = counts[pair_keys].astype(np.float64)
+    else:
+        # Too many venues for a dense pair table: aggregate by sorting.
+        pair_keys, inverse = np.unique(key, return_inverse=True)
+        weights = np.bincount(inverse, weights=edge_weight,
+                              minlength=len(pair_keys))
+        counts = np.bincount(inverse, minlength=len(pair_keys)).astype(
+            np.float64)
 
-    pair_src = (unique_keys // num_venues).astype(np.int64)
-    pair_dst = (unique_keys % num_venues).astype(np.int64)
-    venue_graph = CSRGraph.from_edges(
-        [(int(venue_ids[u]), int(venue_ids[v]))
-         for u, v in zip(pair_src, pair_dst)],
-        nodes=venue_ids.tolist(),
-        weights=weights.tolist())
-
-    # CSRGraph.from_edges sorts edges by source (stable), preserving the
-    # order of `unique_keys` (already sorted by (src, dst)), so the raw
-    # counts align with the assembled edge order directly.
+    # Pair keys ascend by (src, dst): they are the CSR edges in order,
+    # and the raw counts align with the graph's edges directly.
+    indptr = np.zeros(num_venues + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_keys // num_venues, minlength=num_venues),
+              out=indptr[1:])
+    venue_graph = CSRGraph(indptr, pair_keys % num_venues, weights,
+                           venue_ids)
     return VenueGraph(graph=venue_graph, citation_counts=counts)
 
 
 def venue_popularity(dataset: ScholarlyDataset, observation_year: int,
                      decay: TimeDecay,
                      venue_graph: VenueGraph,
-                     graph: Optional[CSRGraph] = None) -> np.ndarray:
+                     graph: Optional[CSRGraph] = None,
+                     columns: Optional[ArticleColumns] = None
+                     ) -> np.ndarray:
     """Decayed count of citations received by each venue's articles.
 
     Aligned with ``venue_graph.graph`` node indices. Each citation into
     the venue contributes ``decay(T - t(citing))`` — same semantics as
     article popularity, aggregated per cited venue.
     """
-    graph, years, venue_of, venue_ids = _article_arrays(dataset, graph)
+    graph, years, venue_of, venue_ids = _article_arrays(dataset, graph,
+                                                        columns)
     if np.any(years > observation_year):
         raise DatasetError("observation_year precedes a publication")
     src_idx, dst_idx, _ = graph.edge_array()
@@ -138,9 +162,10 @@ def venue_popularity(dataset: ScholarlyDataset, observation_year: int,
             np.float64)), dtype=np.float64)
     scores = np.bincount(dst_venue[keep], weights=contributions,
                          minlength=len(venue_ids))
-    # venue_graph may index venues identically (both use ascending venue
-    # id); realign defensively through the id mapping anyway.
+    # Both index venues by ascending id; realign through the graph's
+    # node ids anyway, in case it was built over a different venue set.
     aligned = np.zeros(venue_graph.graph.num_nodes, dtype=np.float64)
-    for position, venue_id in enumerate(venue_ids):
-        aligned[venue_graph.venue_index(int(venue_id))] = scores[position]
+    positions = lookup(venue_ids, venue_graph.graph.node_ids)
+    present = positions >= 0
+    aligned[present] = scores[positions[present]]
     return aligned

@@ -1,8 +1,9 @@
 """Scholarly data layer: schema, synthetic generator, real-format parsers.
 
 The central type is :class:`~repro.data.schema.ScholarlyDataset` — articles,
-venues and authors plus the citation relation. Datasets come from three
-sources:
+venues and authors plus the citation relation;
+:class:`~repro.data.columns.ArticleColumns` is its array view of per-article
+years, venues and authors. Datasets come from three sources:
 
 * :func:`~repro.data.generator.generate_dataset` — synthetic scholarly
   graphs with planted latent quality (the stand-in for AMiner/MAG dumps and
@@ -13,6 +14,7 @@ sources:
   Microsoft Academic Graph TSV layout.
 """
 
+from repro.data.columns import ArticleColumns
 from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.data.ground_truth import (
     GroundTruth,
@@ -25,6 +27,7 @@ from repro.data.schema import Article, Author, ScholarlyDataset, Venue
 
 __all__ = [
     "Article",
+    "ArticleColumns",
     "Author",
     "Venue",
     "ScholarlyDataset",

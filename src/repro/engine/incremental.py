@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs.telemetry import SolverTelemetry
 
 from repro.errors import ConfigError
+from repro.data.columns import ArticleColumns, lookup
 from repro.data.schema import ScholarlyDataset
 from repro.core.time_weight import TimeDecay, exponential_decay
 from repro.core.twpr import (
@@ -122,12 +124,15 @@ class IncrementalEngine:
                                   articles=dataset.num_articles) \
             if obs is not None else nullcontext()
         with bootstrap_span:
+            # Per-article attributes in CSR node order; extended per
+            # batch alongside the graph.
+            self.columns = ArticleColumns.of(dataset)
             self.graph = dataset.citation_csr()
-            self.years = dataset.article_years(self.graph)
-            self._edge_weights = time_weight_edges(self.graph, self.years,
-                                                   self.decay)
+            self._edge_weights = time_weight_edges(
+                self.graph, self.columns.years, self.decay)
             initial = time_weighted_pagerank(
-                self.graph, self.years, decay=self.decay, damping=damping,
+                self.graph, self.columns.years, decay=self.decay,
+                damping=damping,
                 tol=tol, max_iter=max_iter, method="auto", obs=obs)
         self.scores = initial.scores
 
@@ -167,27 +172,18 @@ class IncrementalEngine:
         self.dataset = apply_update(self.dataset, batch)
         appended = self._append_graph(batch)
         if appended is None:
+            columns = ArticleColumns.of(self.dataset)
             graph = self.dataset.citation_csr()
-            years = self.dataset.article_years(graph)
-            weights = time_weight_edges(graph, years, self.decay)
-            old_index = {int(node): i
-                         for i, node in enumerate(self.graph.node_ids)}
-            transferred = np.full(graph.num_nodes,
-                                  1.0 / graph.num_nodes)
-            new_positions = []
-            scale = old_n / graph.num_nodes
-            for position, node in enumerate(graph.node_ids):
-                old_position = old_index.get(int(node))
-                if old_position is None:
-                    new_positions.append(position)
-                else:
-                    transferred[position] = \
-                        old_scores[old_position] * scale
-            new_nodes = np.asarray(new_positions, dtype=np.int64)
+            weights = time_weight_edges(graph, columns.years, self.decay)
+            old_positions = lookup(self.graph.node_ids, graph.node_ids)
+            kept = old_positions >= 0
+            scores = np.full(graph.num_nodes, 1.0 / graph.num_nodes)
+            scores[kept] = old_scores[old_positions[kept]] \
+                * (old_n / graph.num_nodes)
+            new_nodes = np.flatnonzero(~kept)
             changed_sources = np.zeros(0, dtype=np.int64)
-            scores = transferred
         else:
-            graph, years, weights, new_nodes, changed_sources = appended
+            graph, columns, weights, new_nodes, changed_sources = appended
             n = graph.num_nodes
             scores = np.full(n, 1.0 / n, dtype=np.float64)
             scores[:old_n] = old_scores * (old_n / n)
@@ -198,7 +194,7 @@ class IncrementalEngine:
             graph, weights, scores, affected.nodes)
 
         self.graph = graph
-        self.years = years
+        self.columns = columns
         self._edge_weights = weights
         self.scores = scores
         seconds = time.perf_counter() - start
@@ -225,125 +221,101 @@ class IncrementalEngine:
             num_nodes=graph.num_nodes, num_edges=graph.num_edges)
 
     def _append_graph(self, batch: UpdateBatch):
-        """Extend the CSR without a Python-level full rebuild.
+        """Extend the CSR and the columns without a full rebuild.
 
         Pure article arrivals append rows in O(batch); citation
         insertions between existing articles re-sort the combined edge
         arrays in numpy (O(m log m), still far cheaper than rebuilding
         from the dataset). Returns ``None`` when article ids arrive out
         of order (the caller then rebuilds from the dataset), otherwise
-        ``(graph, years, edge_time_weights, new_node_indices,
+        ``(graph, columns, edge_time_weights, new_node_indices,
         changed_source_indices)``.
         """
         empty = np.zeros(0, dtype=np.int64)
         if not batch.articles and not batch.citations:
-            return (self.graph, self.years, self._edge_weights,
+            return (self.graph, self.columns, self._edge_weights,
                     empty, empty)
         # The graph is about to change shape (append, merge, or the
         # caller's full rebuild on None): drop the structure cache now
         # so the superseded arrays don't stay alive behind it.
         self._structure_cache = None
         old_n = self.graph.num_nodes
-        max_old = int(self.graph.node_ids[-1]) if old_n else -1
         new_articles = sorted(batch.articles, key=lambda a: a.id)
-        if new_articles and new_articles[0].id <= max_old:
+        columns = self.columns.append(new_articles)
+        if columns is None:
             return None
+        n = len(columns)
+        node_ids = columns.ids
+        years = columns.years
 
-        index_of: Dict[int, int] = {
-            int(node): i for i, node in enumerate(self.graph.node_ids)}
-        for offset, article in enumerate(new_articles):
-            index_of[article.id] = old_n + offset
+        def edge_weights(sources: np.ndarray,
+                         targets: np.ndarray) -> np.ndarray:
+            gap = np.maximum(years[sources] - years[targets], 0)
+            return np.asarray(self.decay(gap.astype(np.float64)),
+                              dtype=np.float64)
 
-        def edge_weight(citing_year: int, cited_id: int) -> float:
-            cited_year = self.dataset.articles[cited_id].year
-            gap = np.asarray([max(citing_year - cited_year, 0)],
-                             dtype=np.float64)
-            return float(self.decay(gap)[0])
-
-        new_counts = []
-        new_targets = []
-        new_weights = []
-        for article in new_articles:
-            row = []
-            row_weights = []
-            for ref in article.references:
-                target = index_of.get(ref)
-                if target is None or ref == article.id:
-                    continue
-                row.append(target)
-                row_weights.append(edge_weight(article.year, ref))
-            new_counts.append(len(row))
-            new_targets.extend(row)
-            new_weights.extend(row_weights)
-
-        node_ids = np.concatenate([
-            self.graph.node_ids,
-            np.asarray([a.id for a in new_articles], dtype=np.int64)])
-        years = np.concatenate([
-            self.years,
-            np.asarray([a.year for a in new_articles], dtype=np.int64)])
-        new_nodes = np.arange(old_n, old_n + len(new_articles),
-                              dtype=np.int64)
+        # References of the new articles, resolved to node indices;
+        # dangling references and self-citations are dropped.
+        new_nodes = np.arange(old_n, n, dtype=np.int64)
+        citing = np.repeat(new_nodes, [len(a.references)
+                                       for a in new_articles])
+        cited = lookup(node_ids, np.fromiter(
+            chain.from_iterable(a.references for a in new_articles),
+            dtype=np.int64, count=len(citing)))
+        keep = (cited >= 0) & (cited != citing)
+        citing = citing[keep]
+        new_targets = cited[keep]
+        new_counts = np.bincount(citing - old_n,
+                                 minlength=len(new_articles))
+        new_weights = edge_weights(citing, new_targets)
 
         if not batch.citations:
             indptr = np.concatenate([
                 self.graph.indptr,
                 self.graph.indptr[-1] + np.cumsum(new_counts)])
-            indices = np.concatenate([
-                self.graph.indices,
-                np.asarray(new_targets, dtype=np.int64)])
+            indices = np.concatenate([self.graph.indices, new_targets])
             ones = np.ones(len(new_targets), dtype=np.float64)
             graph = CSRGraph(indptr, indices,
                              np.concatenate([self.graph.weights, ones]),
                              node_ids)
-            weights = np.concatenate([
-                self._edge_weights,
-                np.asarray(new_weights, dtype=np.float64)])
-            return graph, years, weights, new_nodes, empty
+            weights = np.concatenate([self._edge_weights, new_weights])
+            return graph, columns, weights, new_nodes, empty
 
         # Citation insertions touch existing rows: merge edge arrays and
         # re-sort by source (numpy-level, no per-article Python work).
+        pairs = np.asarray(batch.citations, dtype=np.int64).reshape(-1, 2)
+        pair_sources = lookup(node_ids, pairs[:, 0]).tolist()
+        pair_targets = lookup(node_ids, pairs[:, 1]).tolist()
         inserted_src = []
         inserted_dst = []
-        inserted_weights = []
         changed = set()
         existing_targets: Dict[int, set] = {}
-        for citing, cited in batch.citations:
-            source = index_of.get(citing)
-            target = index_of.get(cited)
-            if source is None or target is None or citing == cited:
+        for source, target in zip(pair_sources, pair_targets):
+            if source < 0 or target < 0 or source == target:
                 continue
             if source < old_n:
                 known = existing_targets.get(source)
                 if known is None:
-                    known = set(int(t) for t in
-                                self.graph.neighbors(source))
+                    known = set(self.graph.neighbors(source).tolist())
                     existing_targets[source] = known
                 if target in known:
                     continue
                 known.add(target)
                 changed.add(source)
-            citing_year = self.dataset.articles[citing].year
             inserted_src.append(source)
             inserted_dst.append(target)
-            inserted_weights.append(edge_weight(citing_year, cited))
+        inserted_src = np.asarray(inserted_src, dtype=np.int64)
+        inserted_dst = np.asarray(inserted_dst, dtype=np.int64)
 
-        n = old_n + len(new_articles)
         old_src, old_dst, old_graph_weights = self.graph.edge_array()
-        appended_src = np.repeat(new_nodes, new_counts) \
-            if new_articles else empty
-        src = np.concatenate([old_src, appended_src,
-                              np.asarray(inserted_src, dtype=np.int64)])
-        dst = np.concatenate([old_dst,
-                              np.asarray(new_targets, dtype=np.int64),
-                              np.asarray(inserted_dst, dtype=np.int64)])
+        src = np.concatenate([old_src, citing, inserted_src])
+        dst = np.concatenate([old_dst, new_targets, inserted_dst])
         graph_weights = np.concatenate([
             old_graph_weights,
             np.ones(len(new_targets) + len(inserted_src))])
         time_weights = np.concatenate([
-            self._edge_weights,
-            np.asarray(new_weights, dtype=np.float64),
-            np.asarray(inserted_weights, dtype=np.float64)])
+            self._edge_weights, new_weights,
+            edge_weights(inserted_src, inserted_dst)])
 
         order = np.argsort(src, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -351,7 +323,7 @@ class IncrementalEngine:
         graph = CSRGraph(indptr, dst[order], graph_weights[order],
                          node_ids)
         changed_sources = np.asarray(sorted(changed), dtype=np.int64)
-        return (graph, years, time_weights[order], new_nodes,
+        return (graph, columns, time_weights[order], new_nodes,
                 changed_sources)
 
     # ------------------------------------------------------------------
@@ -484,7 +456,8 @@ class IncrementalEngine:
     def exact_scores(self) -> np.ndarray:
         """Full TWPR recompute on the current graph (the E6 comparator)."""
         result = time_weighted_pagerank(
-            self.graph, self.years, decay=self.decay, damping=self.damping,
+            self.graph, self.columns.years, decay=self.decay,
+            damping=self.damping,
             tol=self.tol, max_iter=self.max_iter, method="auto")
         return result.scores
 

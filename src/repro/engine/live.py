@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs.telemetry import SolverTelemetry
 from repro.core.model import ArticleRanker, RankerConfig, RankingResult
 from repro.core.time_weight import exponential_decay
+from repro.data.columns import ArticleColumns
 from repro.data.schema import ScholarlyDataset
 from repro.engine.incremental import IncrementalEngine, IncrementalReport
 from repro.engine.state import load_engine, save_engine
@@ -114,7 +115,7 @@ class LiveRanker:
             obs=obs)
         self._result = self._ranker.rank_with_prestige(
             dataset, self._engine.scores, graph=self._engine.graph,
-            obs=obs)
+            obs=obs, columns=self._engine.columns)
         self._batches_applied = 0
         self._checkpoint_dir = None if checkpoint_dir is None \
             else Path(checkpoint_dir)
@@ -127,6 +128,12 @@ class LiveRanker:
     @property
     def dataset(self) -> ScholarlyDataset:
         return self._engine.dataset
+
+    @property
+    def columns(self) -> ArticleColumns:
+        """Per-article attribute arrays of :attr:`dataset`, aligned with
+        :attr:`result` (ascending article id)."""
+        return self._engine.columns
 
     @property
     def result(self) -> RankingResult:
@@ -155,7 +162,8 @@ class LiveRanker:
         report = self._engine.apply(batch)
         self._result = self._ranker.rank_with_prestige(
             self._engine.dataset, self._engine.scores,
-            graph=self._engine.graph, obs=self._obs)
+            graph=self._engine.graph, obs=self._obs,
+            columns=self._engine.columns)
         self._batches_applied += 1
         if (self._checkpoint_every
                 and self._batches_applied % self._checkpoint_every == 0):
@@ -267,7 +275,8 @@ class LiveRanker:
         live._obs = obs
         live._engine = engine
         live._result = live._ranker.rank_with_prestige(
-            engine.dataset, engine.scores, graph=engine.graph, obs=obs)
+            engine.dataset, engine.scores, graph=engine.graph, obs=obs,
+            columns=engine.columns)
         live._batches_applied = int(
             _ROTATION_PATTERN.match(recovered.name).group(1))
         live._checkpoint_dir = directory

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.core.time_weight import exponential_decay
+from repro.data.columns import ArticleColumns
 from repro.data.io import load_dataset_jsonl, save_dataset_jsonl
 from repro.engine.incremental import IncrementalEngine
 from repro.resilience import FaultPlan
@@ -83,7 +84,7 @@ def save_engine(engine: IncrementalEngine, directory: PathLike,
     np.savez_compressed(
         staging / _ARRAYS_FILE,
         scores=engine.scores,
-        years=engine.years,
+        years=engine.columns.years,
         edge_weights=engine._edge_weights,
         node_ids=engine.graph.node_ids,
         indptr=engine.graph.indptr,
@@ -256,9 +257,13 @@ def load_engine(directory: PathLike) -> IncrementalEngine:
 
     engine.graph = CSRGraph(loaded["indptr"], loaded["indices"],
                             loaded["graph_weights"], loaded["node_ids"])
-    engine.years = loaded["years"]
+    # The columns are derived data: rebuilt from the restored dataset,
+    # then checked against the saved node order and years.
+    engine.columns = ArticleColumns.of(dataset)
     engine.scores = loaded["scores"]
     engine._edge_weights = loaded["edge_weights"]
-    if engine.graph.num_nodes != dataset.num_articles:
+    engine._structure_cache = None
+    if not (np.array_equal(engine.columns.ids, engine.graph.node_ids)
+            and np.array_equal(engine.columns.years, loaded["years"])):
         raise StorageError("checkpoint arrays do not match its dataset")
     return engine

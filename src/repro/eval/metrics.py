@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence, Set, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigError
 
@@ -119,6 +118,10 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
         raise ConfigError("need at least two observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         return 0.0
+    # scipy.stats costs about a second to import; only correlations
+    # need it, not every importer of this module.
+    from scipy import stats
+
     return float(stats.spearmanr(x, y).statistic)
 
 
@@ -130,6 +133,8 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
         raise ConfigError("vectors must align")
     if len(x) < 2:
         raise ConfigError("need at least two observations")
+    from scipy import stats
+
     return float(stats.kendalltau(x, y).statistic)
 
 

@@ -18,7 +18,33 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, NodeNotFoundError
+from repro.data.columns import NO_VENUE, ArticleColumns
 from repro.data.schema import ScholarlyDataset
+
+
+def _posting_lists(keys: np.ndarray, positions: np.ndarray,
+                   size: int) -> Dict[int, np.ndarray]:
+    """``positions`` (each below ``size``) grouped by ``keys``, each
+    group ascending.
+
+    Ascending positions are score order, which both keeps filtered
+    iteration best-first and lets filter intersection use
+    ``assume_unique`` sorted-set numpy.
+    """
+    if not len(keys):
+        return {}
+    unique_keys, key_rank = np.unique(keys, return_inverse=True)
+    # One sort of (key rank, position) packed into an int64 groups the
+    # entries by key with positions ascending inside each group.
+    packed = np.sort(key_rank * size + positions)
+    grouped = packed - (packed // size) * size
+    bounds = np.zeros(len(unique_keys) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key_rank, minlength=len(unique_keys)),
+              out=bounds[1:])
+    bounds = bounds.tolist()
+    return dict(zip(unique_keys.tolist(),
+                    [grouped[start:stop]
+                     for start, stop in zip(bounds[:-1], bounds[1:])]))
 
 
 @dataclass(frozen=True)
@@ -42,56 +68,60 @@ class RankIndex:
         ``scores`` must cover every article of ``dataset`` (extra ids are
         rejected too — a mismatched ranking is a bug worth failing on).
         """
+        columns = ArticleColumns.of(dataset)
         score_ids = np.fromiter(scores.keys(), dtype=np.int64,
                                 count=len(scores))
-        article_ids = np.fromiter(dataset.articles.keys(),
-                                  dtype=np.int64,
-                                  count=len(dataset.articles))
-        if score_ids.shape != article_ids.shape or \
-                np.setxor1d(score_ids, article_ids).size:
+        by_id = np.argsort(score_ids, kind="stable")
+        if not np.array_equal(score_ids[by_id], columns.ids):
             raise ConfigError(
                 "scores must cover exactly the dataset's articles")
-        self._dataset = dataset
-        score_order = np.argsort(score_ids, kind="stable")
-        ids = score_ids[score_order]
         values = np.fromiter(scores.values(), dtype=np.float64,
-                             count=len(scores))[score_order]
-        order = np.lexsort((ids, -values))
-        self._ids = ids[order]
-        self._scores = values[order]
-        years = np.fromiter(
-            (article.year for article in dataset.articles.values()),
-            dtype=np.int64, count=len(dataset.articles))
-        article_order = np.argsort(article_ids, kind="stable")
-        # years aligned to sorted ids, then reordered by score like ids.
-        self._years = years[article_order][order]
-        self._rank_of: Dict[int, int] = {
-            int(article_id): position
-            for position, article_id in enumerate(self._ids)}
+                             count=len(scores))
+        self._build(dataset, columns, values[by_id])
+
+    @classmethod
+    def from_arrays(cls, dataset: ScholarlyDataset,
+                    columns: ArticleColumns,
+                    scores: np.ndarray) -> "RankIndex":
+        """Build the index from ``scores`` aligned with ``columns``.
+
+        ``columns`` must be the :class:`ArticleColumns` of ``dataset``
+        (a live ranker or shard maintains them); ``scores[i]`` is the
+        score of article ``columns.ids[i]``.
+        """
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != columns.ids.shape \
+                or len(columns) != len(dataset.articles):
+            raise ConfigError(
+                f"scores ({scores.size}) and columns ({len(columns)}) "
+                f"must cover exactly the dataset's "
+                f"{len(dataset.articles)} articles")
+        index = cls.__new__(cls)
+        index._build(dataset, columns, scores)
+        return index
+
+    def _build(self, dataset: ScholarlyDataset, columns: ArticleColumns,
+               scores: np.ndarray) -> None:
+        self._dataset = dataset
+        n = len(columns)
+        order = np.lexsort((columns.ids, -scores))
+        self._ids = columns.ids[order]
+        self._scores = scores[order]
+        self._years = columns.years[order]
+        self._rank_of: Dict[int, int] = dict(zip(self._ids.tolist(),
+                                                 range(n)))
         # Sort keys for binary search in global order (-score, id):
         # used by the sharded gateway to turn a shard-local hit into a
         # global rank without shipping whole rankings.
         self._neg_scores = -self._scores
 
-        venue_lists: Dict[int, List[int]] = {}
-        author_lists: Dict[int, List[int]] = {}
-        for position, article_id in enumerate(self._ids):
-            article = dataset.articles[int(article_id)]
-            if article.venue_id is not None:
-                venue_lists.setdefault(article.venue_id,
-                                       []).append(position)
-            for author_id in article.author_ids:
-                author_lists.setdefault(author_id,
-                                        []).append(position)
-        # Positions are appended in score order, i.e. already sorted
-        # ascending — which both keeps filtered iteration best-first and
-        # lets filter intersection use assume_unique sorted-set numpy.
-        self._by_venue: Dict[int, np.ndarray] = {
-            venue: np.asarray(positions, dtype=np.int64)
-            for venue, positions in venue_lists.items()}
-        self._by_author: Dict[int, np.ndarray] = {
-            author: np.asarray(positions, dtype=np.int64)
-            for author, positions in author_lists.items()}
+        venues = columns.venues[order]
+        with_venue = np.flatnonzero(venues != NO_VENUE)
+        self._by_venue = _posting_lists(venues[with_venue], with_venue, n)
+        position_of_row = np.empty(n, dtype=np.int64)
+        position_of_row[order] = np.arange(n, dtype=np.int64)
+        self._by_author = _posting_lists(
+            columns.author_ids, position_of_row[columns.author_rows()], n)
 
     # ------------------------------------------------------------------
     # lookups

@@ -43,6 +43,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
 import numpy as np
 
 from repro.errors import ConfigError, ServeError, ShardUnavailableError
+from repro.data.columns import lookup
 from repro.data.schema import Article
 from repro.engine.shm import ScoreBoardWriter
 from repro.query import RankEntry
@@ -163,15 +164,16 @@ class ShardedGateway:
             else max(4 * len(articles), 4096)
         self._writer = ScoreBoardWriter(capacity, dtype=score_dtype)
         self._board_epoch = -1
-        self._published_ids: List[int] = []
-        self._published_set: set = set()
+        # Article ids in board slot order (append-only).
+        self._published_ids = np.zeros(0, dtype=np.int64)
         self._last_published_snapshot = None
 
-        # Cumulative per-shard ownership: the source of truth for
-        # respawns and for delta metadata sync before each refresh.
-        self._owned: List[Dict[int, Article]] = [
-            {} for _ in range(num_shards)]
-        self._synced: List[set] = [set() for _ in range(num_shards)]
+        # Cumulative per-shard ownership in arrival order: the source of
+        # truth for respawns and for delta metadata sync before each
+        # refresh. The first ``_synced[shard]`` are on the shard.
+        self._owned: List[List[Article]] = [
+            [] for _ in range(num_shards)]
+        self._synced: List[int] = [0] * num_shards
         self._refresh_attempts: Dict[Tuple[int, int], int] = {}
         self._shard_status: List[Dict[str, object]] = [
             {"shard": shard, "status": "fresh"}
@@ -194,8 +196,8 @@ class ShardedGateway:
 
     def _spawn(self, shard: int) -> ShardHandle:
         spec = ShardSpec(shard=shard, num_shards=self.num_shards)
-        articles = list(self._owned[shard].values())
-        self._synced[shard] = set(self._owned[shard])
+        articles = list(self._owned[shard])
+        self._synced[shard] = len(articles)
         if self.mode == "inline":
             return InlineShardHandle(spec, self._writer.layout, articles,
                                      self._shard_config)
@@ -241,45 +243,48 @@ class ShardedGateway:
         if span is not None:
             span.__enter__()
         try:
-            self._publish_board(snapshot)
-            self._partition_new_articles()
+            self._partition_new_articles(self._publish_board(snapshot))
             self._sync_shards()
         finally:
             if span is not None:
                 span.__exit__(None, None, None)
 
-    def _publish_board(self, snapshot) -> None:
-        by_id = snapshot.ranking.by_id()
-        new_ids = [article_id for article_id in by_id
-                   if article_id not in self._published_set]
-        order = self._published_ids + new_ids
-        if len(order) != len(by_id):
+    def _publish_board(self, snapshot) -> np.ndarray:
+        """Write the snapshot's scores to the board, published ids in
+        their slots and new ids appended; returns the new ids."""
+        ranking = snapshot.ranking
+        node_ids = np.asarray(ranking.node_ids, dtype=np.int64)
+        scores = np.asarray(ranking.scores, dtype=np.float64)
+        rows = lookup(node_ids, self._published_ids)
+        if np.any(rows < 0):
             # Articles are never removed; a shrink means the snapshot
             # and the board disagree about the corpus.
             raise ServeError(
                 f"published corpus shrank: board has "
                 f"{len(self._published_ids)} ids, snapshot has "
-                f"{len(by_id)}")
-        scores = np.fromiter((by_id[article_id] for article_id in order),
-                             dtype=np.float64, count=len(order))
+                f"{len(node_ids)}")
+        fresh = np.ones(len(node_ids), dtype=bool)
+        fresh[rows] = False
+        new_ids = node_ids[fresh]
+        order = np.concatenate([self._published_ids, new_ids])
         epoch = self._board_epoch + 1
         try:
             self._writer.publish(
-                np.asarray(order, dtype=np.int64), scores, epoch)
+                order, np.concatenate([scores[rows], scores[fresh]]),
+                epoch)
         except ValueError as exc:
             raise ServeError(f"score board publish failed: {exc}") \
                 from exc
         self._board_epoch = epoch
         self._published_ids = order
-        self._published_set.update(new_ids)
         self._last_published_snapshot = snapshot
+        return new_ids
 
-    def _partition_new_articles(self) -> None:
-        dataset = self._service._live.dataset
-        for article_id, article in dataset.articles.items():
-            shard = shard_of(article_id, self.num_shards)
-            if article_id not in self._owned[shard]:
-                self._owned[shard][article_id] = article
+    def _partition_new_articles(self, new_ids: np.ndarray) -> None:
+        articles = self._service._live.dataset.articles
+        for article_id in new_ids.tolist():
+            self._owned[shard_of(article_id, self.num_shards)].append(
+                articles[article_id])
 
     def _sync_shards(self) -> None:
         for shard in range(self.num_shards):
@@ -314,13 +319,11 @@ class ShardedGateway:
             self._refresh_attempts[key] = attempt + 1
             handle = self._handles[shard]
             try:
-                delta = [self._owned[shard][article_id]
-                         for article_id in self._owned[shard]
-                         if article_id not in self._synced[shard]]
+                owned = self._owned[shard]
+                delta = owned[self._synced[shard]:]
                 if delta:
                     handle.call("absorb", articles=delta)
-                    self._synced[shard].update(
-                        article.id for article in delta)
+                    self._synced[shard] = len(owned)
                 report = handle.call("refresh", epoch=epoch,
                                      attempt=attempt)
             except ShardUnavailableError as exc:

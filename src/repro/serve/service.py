@@ -99,7 +99,7 @@ class _EngineGuard:
     through and left the attributes mutually inconsistent.
     """
 
-    _ENGINE_ATTRS = ("dataset", "graph", "years", "_edge_weights",
+    _ENGINE_ATTRS = ("dataset", "graph", "columns", "_edge_weights",
                      "scores", "_structure_cache")
 
     def __init__(self, live: "LiveRanker") -> None:
@@ -183,7 +183,8 @@ class RankingService:
                 "bootstrap ranking failed publish guardrails: "
                 + "; ".join(violations))
         self._snapshot = Snapshot(
-            index=RankIndex(live.dataset, bootstrap.by_id()),
+            index=RankIndex.from_arrays(live.dataset, live.columns,
+                                        bootstrap.scores),
             ranking=bootstrap, epoch=0,
             batches_applied=live.batches_applied,
             published_at=time.time())
@@ -355,7 +356,8 @@ class RankingService:
     def _publish(self, result: "RankingResult") -> None:
         live = self._live
         snapshot = Snapshot(
-            index=RankIndex(live.dataset, result.by_id()),
+            index=RankIndex.from_arrays(live.dataset, live.columns,
+                                        result.scores),
             ranking=result, epoch=self._snapshot.epoch + 1,
             batches_applied=live.batches_applied,
             published_at=time.time())

@@ -62,6 +62,26 @@ class TestBuildVenueGraph:
         assert (vg.citation_counts >= 1).all()
 
 
+    def test_dense_and_sorted_pair_aggregation_agree(self, monkeypatch):
+        import repro.core.venue_graph as venue_graph
+        from repro.data.generator import GeneratorConfig, generate_dataset
+
+        # 300 venues: more pairs than edges, so the sorted path runs
+        # unless the dense table is forced.
+        dataset = generate_dataset(GeneratorConfig(
+            num_articles=1500, num_venues=300, num_authors=200, seed=8))
+        decay = exponential_decay(0.1)
+        sparse = build_venue_graph(dataset, decay=decay)
+        monkeypatch.setattr(venue_graph, "_DENSE_PAIRS", 1 << 30)
+        dense = build_venue_graph(dataset, decay=decay)
+        for name in ("indptr", "indices", "weights", "node_ids"):
+            assert np.array_equal(getattr(dense.graph, name),
+                                  getattr(sparse.graph, name))
+        assert np.array_equal(dense.citation_counts,
+                              sparse.citation_counts)
+        assert sparse.graph.num_edges > 0
+
+
 class TestVenuePopularity:
     def test_hand_computed(self, tiny_dataset):
         decay = exponential_decay(0.5)
